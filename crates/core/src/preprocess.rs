@@ -69,7 +69,7 @@ pub fn smooth(signal: &Signal, config: &Config) -> Result<Preprocessed> {
     // The trend signal is a smoothed variance: physically non-negative.
     // Savitzky-Golay ringing can undershoot; clamp it away so peak
     // prominences are measured against a zero floor.
-    let smoothed = averaged.map(|v| v.max(0.0));
+    let smoothed = averaged.try_map(|v| v.max(0.0))?;
     Ok(Preprocessed {
         filtered,
         variance,

@@ -152,6 +152,20 @@ pub struct DrainReport {
     pub final_generation: Option<u64>,
 }
 
+/// Input a condemned peer may still send after its goodbye flushed, read
+/// and discarded, before the daemon closes on it regardless.
+const LINGER_MAX_BYTES: usize = 8 << 20;
+
+/// Turns a condemned peer gets to close its end after its goodbye flushed.
+const LINGER_MAX_TURNS: u64 = 10_000;
+
+/// What a condemned peer has left of the linger caps.
+#[derive(Debug, Clone, Copy)]
+struct Linger {
+    until_turn: u64,
+    bytes_left: usize,
+}
+
 /// One connected peer and its protocol state.
 struct Peer {
     conn: Conn,
@@ -162,6 +176,8 @@ struct Peer {
     partial_since: Option<u64>,
     rate_limited: u32,
     closing: bool,
+    /// Set once the goodbye of a condemned peer has flushed.
+    linger: Option<Linger>,
 }
 
 /// The `lumend` daemon: listener, peers, supervisor, store.
@@ -471,6 +487,7 @@ impl<S: Storage> Daemon<S> {
                     partial_since: None,
                     rate_limited: 0,
                     closing: false,
+                    linger: None,
                 },
             );
             self.recorder.add("daemon.accepted", 1);
@@ -995,12 +1012,52 @@ impl<S: Storage> Daemon<S> {
                     continue; // drop the peer
                 }
             };
-            if peer.closing && flushed {
-                continue; // goodbye delivered; drop the peer
+            if peer.closing && flushed && !self.linger(&mut peer) {
+                continue; // goodbye delivered and the peer gone; drop it
             }
             self.peers.insert(pid, peer);
         }
         Ok(())
+    }
+
+    /// Closes a condemned peer whose goodbye has flushed without resetting
+    /// the connection. Closing a socket that holds unread input makes the
+    /// kernel reset the connection and discard what it has not sent yet,
+    /// the goodbye included. So the write side is shut instead (the peer
+    /// reads the goodbye, then end-of-stream), and the peer's input is
+    /// read and discarded until it closes its end. A peer that keeps
+    /// sending is cut off after [`LINGER_MAX_BYTES`] or
+    /// [`LINGER_MAX_TURNS`], so it cannot hold its slot. Returns `true`
+    /// while the peer should be kept.
+    fn linger(&mut self, peer: &mut Peer) -> bool {
+        let linger = match &mut peer.linger {
+            Some(linger) => linger,
+            None => {
+                if peer.conn.shutdown_write().is_err() {
+                    self.recorder.add("daemon.shutdown_failures", 1);
+                    return false;
+                }
+                peer.linger.insert(Linger {
+                    until_turn: self.turn + LINGER_MAX_TURNS,
+                    bytes_left: LINGER_MAX_BYTES,
+                })
+            }
+        };
+        let mut buf = [0u8; 4096];
+        while linger.bytes_left > 0 {
+            match peer.conn.read_chunk(&mut buf) {
+                Ok(ReadEvent::Data(n)) => linger.bytes_left = linger.bytes_left.saturating_sub(n),
+                Ok(ReadEvent::Idle) if self.turn < linger.until_turn => return true,
+                Ok(ReadEvent::Idle) => break,
+                Ok(ReadEvent::Closed) => return false,
+                Err(_) => {
+                    self.recorder.add("daemon.linger_read_failures", 1);
+                    return false;
+                }
+            }
+        }
+        self.recorder.add("daemon.linger_cut", 1);
+        false
     }
 
     fn flight_trigger(&self, reason: &str) {

@@ -14,7 +14,7 @@
 
 use crate::{DaemonError, Result};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 
 /// What one non-blocking read attempt produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,6 +127,22 @@ impl Conn {
                 Ok(ReadEvent::Closed)
             }
             Err(e) => Err(io_err("read", &e)),
+        }
+    }
+
+    /// Half-closes the connection: everything already handed to the kernel
+    /// is still delivered, then the peer reads end-of-stream. Reading
+    /// stays open.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DaemonError::Io`] when the shutdown fails for a reason
+    /// other than the peer being gone already.
+    pub fn shutdown_write(&mut self) -> Result<()> {
+        match self.stream.shutdown(Shutdown::Write) {
+            Ok(()) => Ok(()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotConnected => Ok(()),
+            Err(e) => Err(io_err("shutdown", &e)),
         }
     }
 

@@ -17,7 +17,9 @@ use lumen_daemon::{Daemon, DaemonClient, DaemonConfig};
 use lumen_probe::inject::ProbeInjector;
 use lumen_probe::{ChallengeSchedule, ProbeConfig, ProbePolicy};
 use lumen_serve::{CheckpointStore, MemStorage, ServeConfig, ShedReason, StoreConfig, Supervisor};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 fn detector() -> Detector {
     static DET: OnceLock<Detector> = OnceLock::new();
@@ -463,4 +465,85 @@ fn drain_refuses_new_work_flushes_verdicts_and_checkpoints() {
     assert_eq!(client.goodbye(), Some(DisconnectCause::Draining));
     assert!(daemon.wire_stats().refused_admissions >= 1);
     assert_accounting(&daemon);
+}
+
+/// Requests the daemon's metrics `requests` times and reads nothing until
+/// `condemned` is raised; then sends `past_abuse` bytes of pings and reads
+/// until the connection closes. Returns the goodbye it read, if any.
+fn flood_then_read(
+    port: u16,
+    condemned: &AtomicBool,
+    requests: usize,
+    past_abuse: usize,
+) -> Option<DisconnectCause> {
+    let mut client = DaemonClient::connect(port).expect("connect");
+    for _ in 0..requests {
+        client.send(&Frame::MetricsRequest).expect("flood");
+    }
+    // At most ~10 s of 50 µs naps for the daemon to condemn it.
+    for _ in 0..200_000 {
+        if condemned.load(Ordering::SeqCst) {
+            break;
+        }
+        client.send_raw(&[]).expect("flush");
+        std::thread::sleep(Duration::from_micros(50));
+    }
+    let flood: Vec<u8> = (0..)
+        .flat_map(|nonce| Frame::Ping { nonce }.encode())
+        .take(past_abuse)
+        .collect();
+    client.send_raw(&flood).expect("flood");
+    // At most ~10 s of 50 µs naps: flush the flood, read, until closed.
+    for _ in 0..200_000 {
+        if client.is_closed() {
+            break;
+        }
+        client.send_raw(&[]).expect("flush");
+        if client.poll().is_err() {
+            break;
+        }
+        std::thread::sleep(Duration::from_micros(50));
+    }
+    client.goodbye()
+}
+
+#[test]
+fn a_condemned_flooder_reads_its_goodbye_despite_unread_input() {
+    // The flooder reads nothing until the daemon condemns it, so the
+    // metrics replies the bucket admits back up ahead of the goodbye; and
+    // it floods on past the abuse point, so the daemon holds unread input
+    // when the goodbye finally flushes. Closing a socket on unread input
+    // makes the kernel reset the connection and discard what it has not
+    // sent yet, which here is the goodbye.
+    let config = DaemonConfig {
+        bucket_capacity: 256,
+        bucket_refill: 0.0,
+        abuse_disconnect_after: 4,
+        ..DaemonConfig::default()
+    };
+    for attempt in 0..20 {
+        let mut daemon = daemon_with(config.clone(), false);
+        let port = daemon.port();
+        let condemned = Arc::new(AtomicBool::new(false));
+        let flooder = std::thread::spawn({
+            let condemned = Arc::clone(&condemned);
+            // The bucket's 256 requests plus 16 over budget, then 1 MiB.
+            move || flood_then_read(port, &condemned, 256 + 16, 1 << 20)
+        });
+        // The flooder gives up on its own after ~20 s, so this ends.
+        while !flooder.is_finished() {
+            daemon.turn_once().expect("turn");
+            if daemon.wire_stats().abuse_disconnects > 0 {
+                condemned.store(true, Ordering::SeqCst);
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        let goodbye = flooder.join().expect("flooder thread");
+        assert_eq!(
+            goodbye,
+            Some(DisconnectCause::RateLimitAbuse),
+            "attempt {attempt}"
+        );
+        assert_eq!(daemon.wire_stats().abuse_disconnects, 1);
+    }
 }
