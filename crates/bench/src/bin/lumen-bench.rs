@@ -1,8 +1,9 @@
 //! `lumen-bench` — the perf-telemetry harness behind the CI regression
 //! gate.
 //!
-//! `run` executes a fixed suite of micro benchmarks (whole-clip detection
-//! with and without instrumentation, one active-probe round) and macro
+//! `run` executes a fixed suite of micro benchmarks (whole-clip detection,
+//! one active-probe round, and the per-kernel `info` table: DSP stages,
+//! LOF and k-NN backends, baselines, landmarks, obs emission) and macro
 //! experiments (the Sec. IX per-stage overhead breakdown, the multi-session
 //! overload sweep) and writes a `BENCH_<label>.json` report. `check`
 //! compares two reports metric by metric and exits non-zero on a
@@ -24,9 +25,27 @@
 //! current value must stay under regardless of the baseline — the paper's
 //! 0.2 s per-clip envelope is enforced this way.
 
-use lumen_bench::{standard_pair, trained_detector};
-use lumen_experiments::{chaos, daemon as daemon_exp, dsoak, fleet as fleet_exp, overhead, overload};
-use lumen_obs::{NullSink, Recorder};
+use lumen_attack::baseline::{
+    BaselineDetector, CorrelationThresholdDetector, NaiveTimestampDetector,
+};
+use lumen_bench::{attack_pair, standard_frame, standard_pair, trained_detector, training_pairs};
+use lumen_core::detector::Detector;
+use lumen_core::preprocess::{preprocess_rx, preprocess_tx};
+use lumen_core::voting::combine_votes;
+use lumen_core::Config;
+use lumen_dsp::filters::{biquad, fir, moving, savgol, threshold};
+use lumen_dsp::peaks::{find_peaks, PeakConfig};
+use lumen_dsp::{dtw, fft, normalize, stats, xcorr};
+use lumen_experiments::{
+    chaos, daemon as daemon_exp, dsoak, fleet as fleet_exp, overhead, overload,
+};
+use lumen_face::detect::detect_landmarks;
+use lumen_face::geometry::FaceGeometry;
+use lumen_face::render::FaceRenderer;
+use lumen_face::roi::roi_luminance;
+use lumen_lof::kdtree::KdTree;
+use lumen_lof::knn::KnnIndex;
+use lumen_obs::{InMemorySink, Recorder};
 use lumen_probe::{ChallengeSchedule, ProbeConfig, ProbeInjector, ProbeVerifier, VerifierConfig};
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
@@ -84,6 +103,210 @@ fn time_ms<F: FnMut()>(iters: u32, mut f: F) -> f64 {
     start.elapsed().as_secs_f64() * 1000.0 / f64::from(iters.max(1))
 }
 
+/// Calls per `info` row in a full run: the kernels below run in
+/// nanoseconds to a few milliseconds, so ten calls (the gated rows' count)
+/// would be dominated by clock resolution.
+const INFO_ITERS: u32 = 200;
+
+/// Consumes a benchmarked result so the optimiser cannot drop the call.
+fn keep<T>(value: T) {
+    black_box(value);
+}
+
+/// A named kernel call for the `info` table.
+type InfoRow<'a> = (String, Box<dyn FnMut() + 'a>);
+
+fn row<'a>(name: &str, call: impl FnMut() + 'a) -> InfoRow<'a> {
+    (name.to_string(), Box::new(call))
+}
+
+/// Opens one span and drops it at once: the emission cost the
+/// `obs.span_in_memory` row measures.
+fn open_and_drop_span(recorder: &Recorder) {
+    // lint:allow(span-balance): guard creation + immediate drop is
+    // exactly the cost this row measures
+    keep(recorder.span(black_box("bench.span")));
+}
+
+/// The per-kernel cost table, reported as `info` rows (never gated, no
+/// budget): the ablation view of the Sec. IX overhead (DSP stages, FIR vs
+/// zero-phase IIR, full vs banded DTW), classification costs (LOF, voting,
+/// naive baselines, the brute-force vs k-d tree k-NN crossover), frame-side
+/// costs (rendering, landmarks, ROI) and obs emission costs. Whole-clip
+/// detection and the probe schedule/verify round are not repeated here:
+/// they are the gated `micro.*` rows.
+fn info_rows(iters: u32) -> Result<Vec<BenchMetric>, String> {
+    let config = Config::default();
+    let pair = standard_pair();
+    let attack = attack_pair();
+    let signal = &pair.rx;
+    let (x75, y75) = (&pair.tx.samples()[..75], &signal.samples()[..75]);
+    let training = training_pairs();
+    let detector = trained_detector();
+    let features = detector
+        .features(&pair)
+        .map_err(|e| format!("features: {e}"))?;
+    let naive = NaiveTimestampDetector::default();
+    let fixed = CorrelationThresholdDetector::default();
+    let frame = standard_frame();
+    let landmarks = detect_landmarks(&frame).ok_or("landmarks: no face in the fixture frame")?;
+    let renderer = FaceRenderer::default();
+    let geometry = FaceGeometry::centered(160, 120);
+    let sink = Arc::new(InMemorySink::new());
+    let buffered = trained_detector().with_recorder(Recorder::new(sink.clone()));
+    let (in_memory, _) = Recorder::in_memory();
+    let disabled = Recorder::null();
+    let schedule = ChallengeSchedule::generate(&ProbeConfig::default(), 11)
+        .map_err(|e| format!("probe schedule: {e}"))?;
+    // k-NN crossover: brute force wins at the paper's 20-instance scale,
+    // the k-d tree on large organizational training pools.
+    let mut knn = Vec::new();
+    for n in [20usize, 200, 2000] {
+        let points: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let t = i as f64;
+                vec![
+                    (t * 0.37).sin().abs(),
+                    (t * 0.73).cos().abs(),
+                    (t * 0.11).sin() * 0.5 + 0.5,
+                    (t * 0.053).fract(),
+                ]
+            })
+            .collect();
+        let brute = KnnIndex::new(points.clone()).map_err(|e| format!("knn: {e}"))?;
+        let tree = KdTree::new(points).map_err(|e| format!("kd-tree: {e}"))?;
+        knn.push((n, brute, tree));
+    }
+    const QUERY: [f64; 4] = [0.9, 0.9, 0.8, 0.1];
+
+    let mut rows: Vec<InfoRow<'_>> = vec![
+        row("pipeline.preprocess_tx_15s_clip", || {
+            keep(preprocess_tx(black_box(&pair.tx), &config))
+        }),
+        row("pipeline.preprocess_rx_15s_clip", || {
+            keep(preprocess_rx(black_box(&pair.rx), &config))
+        }),
+        row("pipeline.features_from_15s_clip", || {
+            keep(Detector::features_with(black_box(&pair), &config))
+        }),
+        row("dsp.fir_lowpass_1hz", || {
+            keep(fir::lowpass(black_box(signal), 1.0))
+        }),
+        row("dsp.iir_filtfilt_lowpass_1hz", || {
+            keep(biquad::filtfilt_lowpass(black_box(signal), 1.0))
+        }),
+        row("dsp.moving_variance_w10", || {
+            keep(moving::moving_variance(black_box(signal), 10))
+        }),
+        row("dsp.moving_rms_w30", || {
+            keep(moving::moving_rms(black_box(signal), 30))
+        }),
+        row("dsp.threshold_filter", || {
+            keep(threshold::threshold_filter(black_box(signal), 2.0))
+        }),
+        row("dsp.savgol_w31_p3", || {
+            keep(savgol::savgol_smooth(black_box(signal), 31, 3))
+        }),
+        row("dsp.find_peaks_prominence", || {
+            keep(find_peaks(
+                black_box(signal.samples()),
+                &PeakConfig::new().min_prominence(0.5),
+            ))
+        }),
+        row("dsp.pearson_150", || {
+            keep(stats::pearson(
+                black_box(pair.tx.samples()),
+                black_box(signal.samples()),
+            ))
+        }),
+        row("dsp.dtw_75x75", || {
+            keep(dtw::dtw_distance(black_box(x75), black_box(y75)))
+        }),
+        row("dsp.dtw_banded_75x75_w10", || {
+            keep(dtw::dtw_distance_banded(
+                black_box(x75),
+                black_box(y75),
+                Some(10),
+            ))
+        }),
+        row("dsp.fft_spectrum_150", || {
+            keep(fft::magnitude_spectrum(black_box(signal)))
+        }),
+        row("dsp.normalize_min_max", || {
+            keep(normalize::normalize_min_max(black_box(signal)))
+        }),
+        row("dsp.delay_estimation_xcorr", || {
+            keep(xcorr::estimate_delay(
+                black_box(&pair.tx),
+                black_box(signal),
+                1.0,
+            ))
+        }),
+        row("detection.lof_score_single_vector", || {
+            keep(detector.score(black_box(&features)))
+        }),
+        row("detection.train_detector_20_clips", || {
+            keep(Detector::train_from_traces(black_box(&training), config))
+        }),
+        row("detection.detect_attack_clip", || {
+            keep(detector.detect(black_box(&attack)))
+        }),
+        row("detection.majority_vote_d5", || {
+            keep(combine_votes(
+                black_box(&[true, false, true, true, false]),
+                0.7,
+            ))
+        }),
+        row("detection.baseline_naive_timestamp", || {
+            keep(naive.accepts(black_box(&pair.tx), black_box(&pair.rx)))
+        }),
+        row("detection.baseline_fixed_correlation", || {
+            keep(fixed.accepts(black_box(&pair.tx), black_box(&pair.rx)))
+        }),
+        row("landmarks.render_face_frame_160x120", || {
+            keep(renderer.render(black_box(&geometry), 130.0))
+        }),
+        row("landmarks.detect_landmarks_160x120", || {
+            keep(detect_landmarks(black_box(&frame)))
+        }),
+        row("landmarks.roi_luminance_extraction", || {
+            keep(roi_luminance(black_box(&frame), black_box(&landmarks)))
+        }),
+        row("landmarks.frame_mean_luminance", || {
+            keep(black_box(&frame).mean_luminance())
+        }),
+        row("obs.detect_in_memory_sink", || {
+            keep(buffered.detect(black_box(&pair)));
+            sink.clear();
+        }),
+        row("obs.counter_add_in_memory", || {
+            in_memory.add("bench.counter", black_box(1))
+        }),
+        row("obs.span_in_memory", || open_and_drop_span(&in_memory)),
+        row("obs.counter_add_disabled", || {
+            disabled.add("bench.counter", black_box(1))
+        }),
+        row("probe.waveform_synthesis", || {
+            keep(black_box(&schedule).waveform())
+        }),
+    ];
+    for (n, brute, tree) in &knn {
+        rows.push(row(&format!("detection.knn_brute_force_n{n}"), move || {
+            keep(brute.nearest(black_box(&QUERY), 5, None))
+        }));
+        rows.push(row(&format!("detection.knn_kdtree_n{n}"), move || {
+            keep(tree.nearest(black_box(&QUERY), 5, None))
+        }));
+    }
+    Ok(rows
+        .into_iter()
+        .map(|(name, mut f)| {
+            let ms = time_ms(iters, &mut f);
+            metric(&format!("micro.{name}_ms"), ms, "ms", "info", None)
+        })
+        .collect())
+}
+
 fn metric(name: &str, value: f64, unit: &str, kind: &str, budget: Option<f64>) -> BenchMetric {
     BenchMetric {
         name: name.to_string(),
@@ -99,19 +322,14 @@ fn run_suite(label: &str, quick: bool) -> Result<BenchReport, String> {
     let iters = if quick { 3 } else { 10 };
     let mut metrics = Vec::new();
 
-    // Micro: whole-clip detection, uninstrumented vs. NullSink-recorded.
-    // The delta is reported as info — at sub-millisecond scale it is
-    // noise, and the dedicated Criterion bench (`benches/obs.rs`) is the
-    // authoritative guard.
+    // Micro: whole-clip detection, the paper's Sec. IX unit of work. A
+    // NullSink-recorded detector is not timed separately: `Recorder::new`
+    // collapses it to the null recorder, so it runs this very code.
     eprintln!("[lumen-bench] micro: detect");
     let pair = standard_pair();
     let plain = trained_detector();
     let plain_ms = time_ms(iters, || {
         let _ = black_box(plain.detect(black_box(&pair)));
-    });
-    let nulled = trained_detector().with_recorder(Recorder::new(Arc::new(NullSink)));
-    let null_ms = time_ms(iters, || {
-        let _ = black_box(nulled.detect(black_box(&pair)));
     });
     metrics.push(metric(
         "micro.detect_uninstrumented_ms",
@@ -120,22 +338,6 @@ fn run_suite(label: &str, quick: bool) -> Result<BenchReport, String> {
         "timing",
         Some(CLIP_BUDGET_MS),
     ));
-    metrics.push(metric(
-        "micro.detect_null_sink_ms",
-        null_ms,
-        "ms",
-        "timing",
-        Some(CLIP_BUDGET_MS),
-    ));
-    if plain_ms > 0.0 {
-        metrics.push(metric(
-            "obs.null_sink_overhead_pct",
-            (null_ms - plain_ms) / plain_ms * 100.0,
-            "pct",
-            "info",
-            None,
-        ));
-    }
 
     // Micro: one active-probe round — challenge synthesis plus full
     // matched-filter verification of an armed legitimate response.
@@ -176,6 +378,9 @@ fn run_suite(label: &str, quick: bool) -> Result<BenchReport, String> {
         "timing",
         Some(CLIP_BUDGET_MS),
     ));
+
+    eprintln!("[lumen-bench] micro: per-kernel info table");
+    metrics.extend(info_rows(if quick { iters } else { INFO_ITERS })?);
 
     // Macro: Sec. IX per-stage breakdown from the overhead experiment.
     eprintln!("[lumen-bench] macro: overhead experiment");

@@ -1,10 +1,11 @@
-//! Shared fixtures for the Criterion benchmark harness.
+//! Shared fixtures for the `lumen-bench` perf harness.
 //!
 //! Sec. IX of the paper argues the defense fits resource-limited devices:
 //! landmark detection runs at hundreds of fps, and "feature extraction and
 //! classification can be quickly processed together within 0.2 seconds for
-//! a luminance signal extracted from a 15-second facial video". The benches
-//! in `benches/` regenerate those numbers on this implementation.
+//! a luminance signal extracted from a 15-second facial video". The
+//! `lumen-bench run` micro rows regenerate those numbers on this
+//! implementation from these fixtures.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

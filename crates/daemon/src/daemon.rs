@@ -28,7 +28,6 @@
 //!   and `served + shed == offered` holds end-to-end (see
 //!   [`WireStats::verdict_total`] / [`WireStats::shed_total`]).
 
-use crate::limiter::TokenBucket;
 use crate::transport::{Conn, Listener, ReadEvent};
 use crate::wire::{Decoder, DisconnectCause, Frame, RejectCode, WireError, WireTrace, WireVerdict};
 use crate::{DaemonError, Result};
@@ -40,8 +39,8 @@ use lumen_dsp::Signal;
 use lumen_obs::{FlightConfig, FlightSink, Recorder, Sink};
 use lumen_probe::{ProbeDirector, ProbePolicy};
 use lumen_serve::{
-    AdmitOutcome, BreakerTransition, CheckpointStore, CommitOutcome, MemStorage, RestoreReport,
-    ServeConfig, ServeStats, SessionEventKind, Storage, Supervisor,
+    AdmitOutcome, BreakerTransition, BucketFault, CheckpointStore, CommitOutcome, MemStorage,
+    RestoreReport, ServeConfig, ServeStats, SessionEventKind, Storage, Supervisor, TokenBucket,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -88,6 +87,29 @@ impl Default for DaemonConfig {
             checkpoint_every_turns: 0,
             park_limit: 4096,
         }
+    }
+}
+
+impl DaemonConfig {
+    /// Validates the tuning: the per-connection bucket must pass the
+    /// shared [`TokenBucket::validate`] rule. A zero capacity would
+    /// rate-limit every frame and condemn every client as an abuser; a
+    /// NaN refill would silently mean "never refill".
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DaemonError::InvalidConfig`] naming the offending field.
+    pub fn validate(&self) -> Result<()> {
+        TokenBucket::validate(self.bucket_capacity, self.bucket_refill).map_err(|fault| {
+            let field = match fault {
+                BucketFault::ZeroCapacity => "bucket_capacity",
+                BucketFault::BadRefill => "bucket_refill",
+            };
+            DaemonError::InvalidConfig {
+                field,
+                reason: fault.reason(),
+            }
+        })
     }
 }
 
@@ -216,13 +238,16 @@ impl<S: Storage> Daemon<S> {
     ///
     /// # Errors
     ///
-    /// Returns [`DaemonError::Io`] when the listener cannot bind.
+    /// Returns [`DaemonError::InvalidConfig`] when `config` fails
+    /// [`DaemonConfig::validate`] and [`DaemonError::Io`] when the
+    /// listener cannot bind.
     pub fn new(
         sup: Supervisor,
         factory: DetectorFactory,
         config: DaemonConfig,
         store: Option<CheckpointStore<S>>,
     ) -> Result<Self> {
+        config.validate()?;
         let listener = Listener::bind_loopback()?;
         let flight = sup.flight_sink().cloned();
         let recorder = match &flight {
@@ -264,7 +289,9 @@ impl<S: Storage> Daemon<S> {
     ///
     /// # Errors
     ///
-    /// Returns [`DaemonError::Serve`] when no stored generation survives
+    /// Returns [`DaemonError::InvalidConfig`] when `config` fails
+    /// [`DaemonConfig::validate`] (checked before the store is read),
+    /// [`DaemonError::Serve`] when no stored generation survives
     /// validation, [`DaemonError::Core`] when the detector factory fails,
     /// and [`DaemonError::Io`] for listener failures.
     pub fn restore_from_store(
@@ -274,6 +301,7 @@ impl<S: Storage> Daemon<S> {
         config: DaemonConfig,
         flight: Option<FlightConfig>,
     ) -> Result<(Self, RestoreReport)> {
+        config.validate()?;
         let recorder = Recorder::null();
         let (sup, report) =
             Supervisor::restore_from_store(serve_config, &mut store, &mut *factory, &recorder)?;
@@ -364,9 +392,10 @@ impl<S: Storage> Daemon<S> {
             Some(snap) => snap.serialize(),
             None => Value::Object(Vec::new()),
         };
-        let shards = Value::Array(vec![
-            lumen_fleet::ShardBreakdown::from_supervisor(0, &self.sup).serialize(),
-        ]);
+        let shards = Value::Array(vec![lumen_fleet::ShardBreakdown::from_supervisor(
+            0, &self.sup,
+        )
+        .serialize()]);
         let reply = Value::Object(vec![
             ("metrics".to_string(), metrics),
             ("shards".to_string(), shards),

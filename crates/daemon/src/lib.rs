@@ -13,8 +13,6 @@
 //!   (`MAGIC ∥ version ∥ type ∥ len ∥ payload ∥ CRC-32`), hand-rolled in
 //!   the style of the checkpoint store's record framing. Total decoder:
 //!   torn prefixes wait, corruption fails typed, nothing panics.
-//! - [`limiter`] — deterministic per-connection token buckets (refill per
-//!   event-loop turn, never wall clock).
 //! - [`transport`] — the sanctioned `std::net` boundary (non-blocking
 //!   loopback TCP), fenced by the `no-net` lumen-lint rule.
 //! - [`daemon`] — the single-threaded event loop around a
@@ -36,13 +34,11 @@
 
 pub mod client;
 pub mod daemon;
-pub mod limiter;
 pub mod transport;
 pub mod wire;
 
 pub use client::DaemonClient;
 pub use daemon::{Daemon, DaemonConfig, DetectorFactory, DrainReport, WireStats};
-pub use limiter::TokenBucket;
 pub use wire::{Decoder, DisconnectCause, Frame, RejectCode, WireError, WireTrace, WireVerdict};
 
 /// Everything that can fail in the daemon crate.
@@ -57,6 +53,13 @@ pub enum DaemonError {
     Serve(lumen_serve::ServeError),
     /// The detector factory failed to build a session detector.
     Core(lumen_core::CoreError),
+    /// A [`DaemonConfig`] field is outside its valid domain.
+    InvalidConfig {
+        /// Field name.
+        field: &'static str,
+        /// Human-readable reason.
+        reason: &'static str,
+    },
     /// A graceful drain did not complete within its turn budget.
     DrainStalled {
         /// Turns spent draining.
@@ -73,6 +76,9 @@ impl std::fmt::Display for DaemonError {
             DaemonError::Wire(e) => write!(f, "wire: {e}"),
             DaemonError::Serve(e) => write!(f, "serve: {e}"),
             DaemonError::Core(e) => write!(f, "core: {e}"),
+            DaemonError::InvalidConfig { field, reason } => {
+                write!(f, "invalid daemon config `{field}`: {reason}")
+            }
             DaemonError::DrainStalled { turns, pending } => {
                 write!(
                     f,

@@ -13,7 +13,7 @@ use lumen_core::quality::QualityGate;
 use lumen_core::stream::StreamingDetector;
 use lumen_core::Config;
 use lumen_daemon::wire::{self, DisconnectCause, Frame, RejectCode};
-use lumen_daemon::{Daemon, DaemonClient, DaemonConfig};
+use lumen_daemon::{Daemon, DaemonClient, DaemonConfig, DaemonError, DetectorFactory};
 use lumen_probe::inject::ProbeInjector;
 use lumen_probe::{ChallengeSchedule, ProbeConfig, ProbePolicy};
 use lumen_serve::{CheckpointStore, MemStorage, ServeConfig, ShedReason, StoreConfig, Supervisor};
@@ -195,8 +195,7 @@ fn admission_samples_and_verdicts_flow_end_to_end() {
         })
         .expect("a metrics frame");
     let metrics = String::from_utf8(metrics).expect("metrics endpoint emits UTF-8");
-    let reply: serde::Value =
-        serde_json::from_str(&metrics).expect("metrics endpoint emits JSON");
+    let reply: serde::Value = serde_json::from_str(&metrics).expect("metrics endpoint emits JSON");
     let serde::Value::Object(fields) = &reply else {
         panic!("metrics reply is not an object");
     };
@@ -300,6 +299,45 @@ fn flooding_is_rate_limited_then_disconnected_for_abuse() {
     assert_eq!(client.goodbye(), Some(DisconnectCause::RateLimitAbuse));
     assert_eq!(daemon.wire_stats().abuse_disconnects, 1);
     assert!(daemon.wire_stats().rate_limited >= 4);
+}
+
+#[test]
+fn a_bucket_that_condemns_every_client_is_refused_typed() {
+    // A zero capacity rate-limits every frame, so every client would be
+    // disconnected as an abuser; a NaN refill would silently never
+    // refill. Both constructors refuse such a config before binding or
+    // reading the store.
+    let factory = || -> DetectorFactory {
+        let det = detector();
+        Box::new(move |_| StreamingDetector::new(det.clone(), 15.0, 3))
+    };
+    let cases = [
+        ("bucket_capacity", 0, 8.0),
+        ("bucket_capacity", 0, f64::NAN),
+        ("bucket_refill", 64, f64::NAN),
+        ("bucket_refill", 64, f64::INFINITY),
+        ("bucket_refill", 64, -1.0),
+    ];
+    for (field, bucket_capacity, bucket_refill) in cases {
+        let config = DaemonConfig {
+            bucket_capacity,
+            bucket_refill,
+            ..DaemonConfig::default()
+        };
+        assert!(config.validate().is_err(), "{field}: {bucket_refill}");
+        let sup = Supervisor::new(serve_config()).expect("supervisor");
+        let fresh = Daemon::<MemStorage>::new(sup, factory(), config.clone(), None).err();
+        let store = CheckpointStore::new(MemStorage::new(), StoreConfig::default()).expect("store");
+        let restored =
+            Daemon::restore_from_store(serve_config(), store, factory(), config, None).err();
+        for err in [fresh, restored] {
+            assert!(
+                matches!(err, Some(DaemonError::InvalidConfig { field: f, .. }) if f == field),
+                "{field} = ({bucket_capacity}, {bucket_refill}): {err:?}"
+            );
+        }
+    }
+    assert!(DaemonConfig::default().validate().is_ok());
 }
 
 #[test]

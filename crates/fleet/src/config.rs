@@ -2,11 +2,12 @@
 //! bucket and work-stealing bounds.
 
 use crate::{FleetError, Result};
-use lumen_serve::ServeConfig;
+use lumen_serve::{BucketFault, ServeConfig, TokenBucket};
 use serde::{Deserialize, Serialize};
 
-/// Fleet-level token-bucket admission tuning (the session-granularity
-/// counterpart of the daemon's per-connection frame limiter).
+/// Fleet-level token-bucket admission tuning: the shape of the shared
+/// [`TokenBucket`] that guards session creation (the daemon keeps one per
+/// connection for frames).
 ///
 /// The bucket refills once per fleet tick, never from a wall clock, so
 /// admission behaviour is exactly reproducible: `refill_per_tick`
@@ -33,22 +34,22 @@ impl AdmissionConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::InvalidConfig`] for a zero burst or a
+    /// Returns [`FleetError::InvalidConfig`] when the shape fails the
+    /// shared [`TokenBucket::validate`] rule: a zero burst or a
     /// negative/non-finite refill rate.
     pub fn validate(&self) -> Result<()> {
-        if self.burst_sessions == 0 {
-            return Err(FleetError::invalid_config(
-                "burst_sessions",
-                "must be non-zero",
-            ));
-        }
-        if !(self.refill_per_tick.is_finite() && self.refill_per_tick >= 0.0) {
-            return Err(FleetError::invalid_config(
-                "refill_per_tick",
-                "must be finite and non-negative",
-            ));
-        }
-        Ok(())
+        TokenBucket::validate(self.burst_sessions, self.refill_per_tick).map_err(|fault| {
+            let field = match fault {
+                BucketFault::ZeroCapacity => "burst_sessions",
+                BucketFault::BadRefill => "refill_per_tick",
+            };
+            FleetError::invalid_config(field, fault.reason())
+        })
+    }
+
+    /// A full admission bucket of this shape.
+    pub(crate) fn bucket(&self) -> TokenBucket {
+        TokenBucket::new(self.burst_sessions, self.refill_per_tick)
     }
 }
 

@@ -27,7 +27,6 @@
 //! shard costs the donor nothing. Donations are bounded per tick, counted
 //! (`fleet.steals`), and obs-marked with the donor→recipient pair.
 
-use crate::admission::AdmissionBucket;
 use crate::config::FleetConfig;
 use crate::partition::Partitioner;
 use crate::snapshot::{FleetManifest, FleetRestoreReport, FleetSnapshot};
@@ -39,7 +38,7 @@ use lumen_probe::{ProbeDirector, ProbeVerdict};
 use lumen_serve::store::Storage;
 use lumen_serve::{
     AdmitOutcome, CheckpointStore, ClipAdmission, CommitOutcome, ServeError, ServeStats,
-    SessionEventKind, ShedReason, Supervisor,
+    SessionEventKind, ShedReason, Supervisor, TokenBucket,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -172,7 +171,7 @@ pub struct Fleet {
     shards: Vec<Supervisor>,
     shard_sinks: Option<Vec<Arc<InMemorySink>>>,
     recorder: Recorder,
-    bucket: AdmissionBucket,
+    bucket: TokenBucket,
     stats: FleetStats,
 }
 
@@ -190,7 +189,7 @@ impl Fleet {
         for _ in 0..config.shards {
             shards.push(Supervisor::new(config.shard.clone())?);
         }
-        let bucket = AdmissionBucket::new(config.admission);
+        let bucket = config.admission.bucket();
         Ok(Fleet {
             config,
             partitioner,
@@ -642,7 +641,7 @@ impl Fleet {
             report.shards.push(shard_report);
         }
         let partitioner = Partitioner::new(config.seed, config.shards);
-        let mut bucket = AdmissionBucket::new(config.admission);
+        let mut bucket = config.admission.bucket();
         bucket.set_tokens(snap.manifest.admission_tokens);
         let fleet = Fleet {
             config,
@@ -668,7 +667,9 @@ impl Fleet {
         store: &mut CheckpointStore<S, FleetSnapshot>,
         now: u64,
     ) -> Result<CommitOutcome> {
-        store.commit(now, &self.snapshot()).map_err(FleetError::from)
+        store
+            .commit(now, &self.snapshot())
+            .map_err(FleetError::from)
     }
 
     /// Restores from the newest *valid* generation of a fleet checkpoint

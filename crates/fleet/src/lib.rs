@@ -36,7 +36,6 @@
 #![deny(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-mod admission;
 mod error;
 mod fleet;
 
@@ -44,7 +43,6 @@ pub mod config;
 pub mod partition;
 pub mod snapshot;
 
-pub use admission::AdmissionBucket;
 pub use config::{AdmissionConfig, FleetConfig};
 pub use error::FleetError;
 pub use fleet::{

@@ -27,6 +27,10 @@
 //!   including mid-clip partial buffers, replaying to byte-identical
 //!   verdicts after a restart.
 //!
+//! The crate also owns the one deterministic [`TokenBucket`] of the
+//! stack: the daemon rate-limits frames per connection with it, and the
+//! fleet rate-limits session admission with it.
+//!
 //! Everything is driven off `lumen_chat::clock` ticks — no wall clock, no
 //! ambient randomness — so any run (and any crash/restore of it) is
 //! deterministic.
@@ -38,12 +42,14 @@
 mod error;
 
 pub mod breaker;
+pub mod bucket;
 pub mod chaos;
 pub mod checkpoint;
 pub mod store;
 pub mod supervisor;
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
+pub use bucket::{BucketFault, TokenBucket};
 pub use chaos::{ChaosInjector, ChaosPlan};
 pub use checkpoint::{QueuedClipSnapshot, SessionSnapshot, SupervisorSnapshot};
 pub use error::ServeError;
